@@ -3,45 +3,6 @@
 //!
 //! Run with `cargo run -p zssd-bench --release --bin fig10_erase_reduction`.
 
-use zssd_bench::{
-    experiment_profiles, grid_for, grid_metrics_json, maybe_write_csv, maybe_write_metrics, pct,
-    run_grid, scaled_entries, TextTable, PAPER_POOL_ENTRIES,
-};
-use zssd_core::SystemKind;
-use zssd_metrics::reduction_pct;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("Figure 10: % reduction in erase counts vs Baseline\n");
-    let systems = [
-        SystemKind::Baseline,
-        SystemKind::MqDvp {
-            entries: scaled_entries(PAPER_POOL_ENTRIES),
-        },
-        SystemKind::Ideal,
-    ];
-    let mut table = TextTable::new(vec!["trace", "DVP-200K", "Ideal"]);
-    let mut mean = [0.0f64; 2];
-    let profiles = experiment_profiles();
-    let cells = grid_for(&profiles, &systems);
-    let all = run_grid(cells.clone())?;
-    maybe_write_metrics(
-        "fig10_erase_reduction",
-        "json",
-        &grid_metrics_json(&cells, &all),
-    );
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].erases as f64;
-        let dvp = reduction_pct(base, reports[1].erases as f64);
-        let ideal = reduction_pct(base, reports[2].erases as f64);
-        mean[0] += dvp;
-        mean[1] += ideal;
-        table.row(vec![profile.name.clone(), pct(dvp), pct(ideal)]);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec!["MEAN".into(), pct(mean[0] / n), pct(mean[1] / n)]);
-    maybe_write_csv("fig10_erase_reduction", &table);
-    println!("{table}");
-    println!("paper: mean 35.5% erase reduction, up to 59.2% (mail); trend follows Fig 9");
-    Ok(())
+fn main() -> Result<(), zssd_ftl::SsdError> {
+    zssd_bench::run_figure("fig10_erase_reduction")
 }

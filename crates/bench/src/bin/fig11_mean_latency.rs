@@ -4,43 +4,6 @@
 //!
 //! Run with `cargo run -p zssd-bench --release --bin fig11_mean_latency`.
 
-use zssd_bench::{
-    arrival_spec, experiment_profiles, grid_for, maybe_write_csv, pct, run_grid, scaled_entries,
-    TextTable, PAPER_POOL_ENTRIES,
-};
-use zssd_core::SystemKind;
-use zssd_metrics::reduction_pct;
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("Figure 11: % mean latency improvement vs Baseline");
-    println!(
-        "arrivals: {} (set ZSSD_ARRIVAL to poisson or bursty)\n",
-        arrival_spec()
-    );
-    let entries = scaled_entries(PAPER_POOL_ENTRIES);
-    let systems = [
-        SystemKind::Baseline,
-        SystemKind::MqDvp { entries },
-        SystemKind::LxSsd { entries },
-    ];
-    let mut table = TextTable::new(vec!["trace", "DVP", "LX-SSD"]);
-    let mut mean = [0.0f64; 2];
-    let profiles = experiment_profiles();
-    let all = run_grid(grid_for(&profiles, &systems))?;
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].mean_latency().as_nanos() as f64;
-        let dvp = reduction_pct(base, reports[1].mean_latency().as_nanos() as f64);
-        let lx = reduction_pct(base, reports[2].mean_latency().as_nanos() as f64);
-        mean[0] += dvp;
-        mean[1] += lx;
-        table.row(vec![profile.name.clone(), pct(dvp), pct(lx)]);
-        eprintln!("  [{}] done", profile.name);
-    }
-    let n = profiles.len() as f64;
-    table.row(vec!["MEAN".into(), pct(mean[0] / n), pct(mean[1] / n)]);
-    maybe_write_csv("fig11_mean_latency", &table);
-    println!("{table}");
-    println!("paper: DVP improves mean latency 4.8%-52% (mean 24.5%) and beats LX-SSD");
-    println!("       by ~2x on average (LX-SSD is weakest on mail)");
-    Ok(())
+fn main() -> Result<(), zssd_ftl::SsdError> {
+    zssd_bench::run_figure("fig11_mean_latency")
 }

@@ -3,82 +3,6 @@
 //!
 //! Run with `cargo run -p zssd-bench --release --bin fig12_tail_latency`.
 
-use zssd_bench::{
-    arrival_spec, experiment_profiles, grid_for, grid_metrics_json, maybe_write_csv,
-    maybe_write_metrics, pct, run_grid, scaled_entries, TextTable, PAPER_POOL_ENTRIES,
-};
-use zssd_core::SystemKind;
-use zssd_ftl::RunReport;
-use zssd_metrics::reduction_pct;
-
-/// p99/p50 across all requests — how much of the tail is queueing and
-/// GC stalls rather than the typical service time. Bursty and Poisson
-/// arrivals widen this gap; uniform arrivals hide it.
-fn tail_gap(report: &RunReport) -> String {
-    let p50 = report.all_latency.p50.as_nanos() as f64;
-    if p50 == 0.0 {
-        return "-".into();
-    }
-    format!("{:.2}x", report.tail_latency().as_nanos() as f64 / p50)
-}
-
-fn main() -> Result<(), Box<dyn std::error::Error>> {
-    println!("Figure 12: % tail (p99) latency improvement vs Baseline");
-    println!(
-        "arrivals: {} (set ZSSD_ARRIVAL to poisson or bursty)\n",
-        arrival_spec()
-    );
-    let systems = [
-        SystemKind::Baseline,
-        SystemKind::MqDvp {
-            entries: scaled_entries(PAPER_POOL_ENTRIES),
-        },
-    ];
-    let mut table = TextTable::new(vec![
-        "trace",
-        "improvement",
-        "baseline p99",
-        "DVP p99",
-        "baseline p50",
-        "baseline p99/p50",
-        "DVP p99/p50",
-    ]);
-    let mut mean = 0.0f64;
-    let profiles = experiment_profiles();
-    let cells = grid_for(&profiles, &systems);
-    let all = run_grid(cells.clone())?;
-    maybe_write_metrics(
-        "fig12_tail_latency",
-        "json",
-        &grid_metrics_json(&cells, &all),
-    );
-    for (profile, reports) in profiles.iter().zip(all.chunks(systems.len())) {
-        let base = reports[0].tail_latency();
-        let dvp = reports[1].tail_latency();
-        let improvement = reduction_pct(base.as_nanos() as f64, dvp.as_nanos() as f64);
-        mean += improvement;
-        table.row(vec![
-            profile.name.clone(),
-            pct(improvement),
-            base.to_string(),
-            dvp.to_string(),
-            reports[0].all_latency.p50.to_string(),
-            tail_gap(&reports[0]),
-            tail_gap(&reports[1]),
-        ]);
-        eprintln!("  [{}] done", profile.name);
-    }
-    table.row(vec![
-        "MEAN".into(),
-        pct(mean / profiles.len() as f64),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-        "-".into(),
-    ]);
-    maybe_write_csv("fig12_tail_latency", &table);
-    println!("{table}");
-    println!("paper: 22% mean tail-latency reduction, up to 43.1%; trend mirrors Fig 11");
-    Ok(())
+fn main() -> Result<(), zssd_ftl::SsdError> {
+    zssd_bench::run_figure("fig12_tail_latency")
 }

@@ -2,8 +2,11 @@
 //!
 //! Every table and figure of the paper has a binary under `src/bin/`
 //! (see `DESIGN.md` §5 for the index); this library holds what they
-//! share: the experiment workload set, full-system runners, and plain
-//! text-table rendering.
+//! share: the experiment workload set, the grid executor, and plain
+//! text-table rendering. The evaluation figures that compare systems
+//! against Baseline (Figs 9–12, 14, 15 and `all_experiments`) are rows
+//! of one declarative table, `FIGURES` in `src/figures.rs`; their
+//! binaries are one-call shims over [`run_figure`] and [`run_matrix`].
 //!
 //! Scale: experiments default to the paper-sized traces (150 K
 //! requests/day × 3 days per workload). Set `ZSSD_SCALE` (e.g. `0.1`)
@@ -18,16 +21,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod figures;
 mod grid;
 
 use std::fmt::Display;
 
 use zssd_core::SystemKind;
-use zssd_ftl::{RunReport, SsdConfig, SsdError};
+use zssd_ftl::{RunReport, SsdConfig};
 use zssd_metrics::Json;
-use zssd_trace::{ArrivalProcess, SyntheticTrace, TraceRecord, WorkloadProfile};
+use zssd_trace::{ArrivalProcess, SyntheticTrace, WorkloadProfile};
 use zssd_types::SimDuration;
 
+pub use figures::{run_figure, run_matrix};
 pub use grid::{
     grid_for, grid_threads, run_grid, run_grid_with_threads, run_jobs, run_jobs_with_threads,
     shared_traces, GridCell,
@@ -120,63 +125,6 @@ pub fn config_for(profile: &WorkloadProfile, system: SystemKind) -> SsdConfig {
     config.with_arrival(arrival)
 }
 
-/// Runs one full-system simulation of `records` under `system`, sized
-/// for `profile`.
-///
-/// Note: superseded by [`run_grid`], which runs many such cells in
-/// parallel and shares each trace buffer instead of copying it; this
-/// single-cell wrapper is kept for API compatibility and convenience.
-///
-/// # Errors
-///
-/// Propagates simulator errors (configuration, out-of-space).
-pub fn run_system(
-    profile: &WorkloadProfile,
-    records: &[TraceRecord],
-    system: SystemKind,
-) -> Result<RunReport, SsdError> {
-    GridCell::new(
-        profile.name.clone(),
-        system.to_string(),
-        config_for(profile, system),
-        records.into(),
-    )
-    .run()
-}
-
-/// Runs the same records under several systems, returning reports in
-/// system order.
-///
-/// Note: superseded by [`run_grid`] — this wrapper builds the
-/// single-row grid for you (sharing one copy of `records` across the
-/// cells) and fans it across [`grid_threads`] workers. Callers
-/// running more than one workload should build the full grid with
-/// [`grid_for`] instead, so all cells parallelize together.
-///
-/// # Errors
-///
-/// Propagates the error of the earliest failing system.
-pub fn compare_systems(
-    profile: &WorkloadProfile,
-    records: &[TraceRecord],
-    systems: &[SystemKind],
-) -> Result<Vec<RunReport>, SsdError> {
-    let shared: std::sync::Arc<[TraceRecord]> = records.into();
-    run_grid(
-        systems
-            .iter()
-            .map(|&system| {
-                GridCell::new(
-                    profile.name.clone(),
-                    system.to_string(),
-                    config_for(profile, system),
-                    shared.clone(),
-                )
-            })
-            .collect(),
-    )
-}
-
 /// A minimal aligned text table for experiment output.
 ///
 /// # Examples
@@ -211,11 +159,6 @@ impl TextTable {
     pub fn row(&mut self, cells: Vec<String>) {
         assert_eq!(cells.len(), self.headers.len(), "row arity mismatch");
         self.rows.push(cells);
-    }
-
-    /// Convenience: formats and appends a row of displayable cells.
-    pub fn row_display<D: Display>(&mut self, cells: Vec<D>) {
-        self.row(cells.into_iter().map(|c| c.to_string()).collect());
     }
 
     /// Number of data rows.
@@ -374,7 +317,7 @@ mod tests {
     fn table_renders_aligned() {
         let mut t = TextTable::new(vec!["a", "quantity"]);
         t.row(vec!["x".into(), "1".into()]);
-        t.row_display(vec![12, 345]);
+        t.row(vec!["12".into(), "345".into()]);
         let s = t.to_string();
         let lines: Vec<&str> = s.lines().collect();
         assert_eq!(lines.len(), 4);

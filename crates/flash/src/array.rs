@@ -4,7 +4,7 @@
 use core::fmt;
 use std::error::Error;
 
-use zssd_metrics::{Counter, Event, FaultEvent};
+use zssd_metrics::{Event, FaultEvent};
 use zssd_types::{AddressError, Ppn, SimTime};
 
 use crate::block::{Block, BlockInfo, PageState};
@@ -123,26 +123,26 @@ impl From<AddressError> for FlashOpError {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct FlashStats {
     /// Page reads executed (host + GC relocation reads).
-    pub reads: Counter,
+    pub reads: u64,
     /// Page programs executed (host + GC relocation writes).
-    pub programs: Counter,
+    pub programs: u64,
     /// Block erases executed.
-    pub erases: Counter,
+    pub erases: u64,
     /// Pages invalidated (deaths).
-    pub invalidations: Counter,
+    pub invalidations: u64,
     /// Invalid pages flipped back to valid (rebirths via the DVP).
-    pub revivals: Counter,
+    pub revivals: u64,
     /// Injected program failures (the failed attempts are *not*
     /// counted in [`FlashStats::programs`]).
-    pub program_failures: Counter,
+    pub program_failures: u64,
     /// Injected erase failures (not counted in [`FlashStats::erases`]).
-    pub erase_failures: Counter,
+    pub erase_failures: u64,
     /// Reads that hit an uncorrectable-ECC event and re-sensed the
     /// page (each costs an extra read pass).
-    pub read_retries: Counter,
+    pub read_retries: u64,
     /// Blocks permanently removed from service after repeated erase
     /// failures.
-    pub retired_blocks: Counter,
+    pub retired_blocks: u64,
 }
 
 /// The simulated NAND array: per-page state, per-block wear, and the
@@ -375,7 +375,7 @@ impl FlashArray {
         let sense_done = sense_start + self.timing.read;
         let xfer_start = sense_done.max(self.channel_busy_until[channel]);
         let mut done = xfer_start + self.timing.transfer;
-        self.stats.reads.incr();
+        self.stats.reads += 1;
         let retried = self
             .fault
             .decide(FaultKind::Read, ppn.index(), self.wear_of(ppn));
@@ -383,8 +383,8 @@ impl FlashArray {
             // ECC failed on the first sense: sense and transfer again.
             let retry_xfer = (done + self.timing.read).max(self.channel_busy_until[channel]);
             done = retry_xfer + self.timing.transfer;
-            self.stats.reads.incr();
-            self.stats.read_retries.incr();
+            self.stats.reads += 1;
+            self.stats.read_retries += 1;
             self.emit(
                 done,
                 Event::Fault {
@@ -451,7 +451,7 @@ impl FlashArray {
         self.channel_busy_until[channel] = xfer_done;
         self.chip_busy_until[chip] = done;
         if failed {
-            self.stats.program_failures.incr();
+            self.stats.program_failures += 1;
             self.emit(
                 done,
                 Event::Fault {
@@ -461,7 +461,7 @@ impl FlashArray {
             );
             return Err(FlashOpError::ProgramFailed { ppn });
         }
-        self.stats.programs.incr();
+        self.stats.programs += 1;
         Ok(done)
     }
 
@@ -505,7 +505,7 @@ impl FlashArray {
         block.pages[self.geometry.page_in_block(ppn) as usize] = PageState::Invalid;
         block.valid_count -= 1;
         block.invalid_count += 1;
-        self.stats.invalidations.incr();
+        self.stats.invalidations += 1;
         Ok(())
     }
 
@@ -529,7 +529,7 @@ impl FlashArray {
         block.pages[self.geometry.page_in_block(ppn) as usize] = PageState::Valid;
         block.invalid_count -= 1;
         block.valid_count += 1;
-        self.stats.revivals.incr();
+        self.stats.revivals += 1;
         Ok(())
     }
 
@@ -595,9 +595,9 @@ impl FlashArray {
         let start = at.max(self.chip_busy_until[chip]);
         let done = start + self.timing.read + self.timing.program;
         self.chip_busy_until[chip] = done;
-        self.stats.reads.incr();
+        self.stats.reads += 1;
         if failed {
-            self.stats.program_failures.incr();
+            self.stats.program_failures += 1;
             self.emit(
                 done,
                 Event::Fault {
@@ -607,7 +607,7 @@ impl FlashArray {
             );
             return Err(FlashOpError::ProgramFailed { ppn: dest });
         }
-        self.stats.programs.incr();
+        self.stats.programs += 1;
         Ok((dest, done))
     }
 
@@ -636,7 +636,7 @@ impl FlashArray {
         let done = start + self.timing.erase;
         self.chip_busy_until[chip] = done;
         if failed {
-            self.stats.erase_failures.incr();
+            self.stats.erase_failures += 1;
             self.emit(
                 done,
                 Event::Fault {
@@ -647,7 +647,7 @@ impl FlashArray {
             return Err(FlashOpError::EraseFailed { block });
         }
         self.blocks[block.index() as usize].erase();
-        self.stats.erases.incr();
+        self.stats.erases += 1;
         Ok(done)
     }
 
@@ -672,7 +672,7 @@ impl FlashArray {
             });
         }
         b.retire();
-        self.stats.retired_blocks.incr();
+        self.stats.retired_blocks += 1;
         // Retirement itself is pure bookkeeping; timestamp it with the
         // owning chip's busy-until, which the failed erases just paid.
         let at =
@@ -886,7 +886,7 @@ mod tests {
         assert_eq!(flash.total_invalid_pages(), 1);
         flash.revive_page(ppn).expect("revive");
         assert_eq!(flash.page_state(ppn).expect("state"), PageState::Valid);
-        assert_eq!(flash.stats().revivals.get(), 1);
+        assert_eq!(flash.stats().revivals, 1);
         assert_eq!(flash.total_valid_pages(), 1);
     }
 
@@ -959,12 +959,7 @@ mod tests {
             .expect("ok");
         let s = flash.stats();
         assert_eq!(
-            (
-                s.programs.get(),
-                s.reads.get(),
-                s.invalidations.get(),
-                s.erases.get()
-            ),
+            (s.programs, s.reads, s.invalidations, s.erases),
             (1, 1, 1, 1)
         );
     }
@@ -1106,8 +1101,8 @@ mod tests {
             PageState::Bad
         );
         assert_eq!(flash.free_pages_in(block).expect("free"), 3);
-        assert_eq!(flash.stats().program_failures.get(), 1);
-        assert_eq!(flash.stats().programs.get(), 0, "failures are not programs");
+        assert_eq!(flash.stats().program_failures, 1);
+        assert_eq!(flash.stats().programs, 0, "failures are not programs");
         // The failed attempt still occupied the chip for a full program.
         let t = FlashTiming::paper_table1();
         assert_eq!(
@@ -1144,11 +1139,11 @@ mod tests {
             PageState::Invalid
         );
         assert_eq!(flash.erase_count(block).expect("wear"), 0);
-        assert_eq!(flash.stats().erase_failures.get(), 1);
-        assert_eq!(flash.stats().erases.get(), 0);
+        assert_eq!(flash.stats().erase_failures, 1);
+        assert_eq!(flash.stats().erases, 0);
         // Retirement takes the block out of service for good.
         flash.retire_block(block).expect("retire");
-        assert_eq!(flash.stats().retired_blocks.get(), 1);
+        assert_eq!(flash.stats().retired_blocks, 1);
         assert!(flash.block_info(block).expect("info").is_retired());
         assert_eq!(flash.free_pages_in(block).expect("free"), 0);
         assert!(flash.read_page(Ppn::new(0), SimTime::ZERO).is_err());
@@ -1183,8 +1178,8 @@ mod tests {
             done + t.read + t.transfer + t.read + t.transfer,
             "two full sense + transfer passes"
         );
-        assert_eq!(flash.stats().read_retries.get(), 1);
-        assert_eq!(flash.stats().reads.get(), 2, "the retry re-senses");
+        assert_eq!(flash.stats().read_retries, 1);
+        assert_eq!(flash.stats().reads, 2, "the retry re-senses");
     }
 
     #[test]
@@ -1261,9 +1256,9 @@ mod tests {
             SimTime::ZERO + FlashTiming::paper_table1().transfer,
             "controller busy-until cleared"
         );
-        assert_eq!(flash.stats().programs.get(), 1);
+        assert_eq!(flash.stats().programs, 1);
         flash.reset_stats();
-        assert_eq!(flash.stats().programs.get(), 0);
+        assert_eq!(flash.stats().programs, 0);
         // Page states survive the resets.
         assert_eq!(flash.page_state(Ppn::new(0)).expect("ok"), PageState::Valid);
     }

@@ -6,7 +6,7 @@ use zssd_core::{
 };
 use zssd_dedup::DedupStore;
 use zssd_flash::{FlashArray, FlashOpError, PageState};
-use zssd_metrics::{Event, EventLog, EventSink};
+use zssd_metrics::{Event, EventLog};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
 use zssd_types::{Fingerprint, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
@@ -486,20 +486,20 @@ impl Ssd {
             system: self.config.system,
             host_writes: self.stats.host_writes,
             host_reads: self.stats.host_reads,
-            flash_programs: flash.programs.get(),
+            flash_programs: flash.programs,
             host_programs: self.stats.host_programs,
             gc_programs: self.stats.gc_programs,
-            flash_reads: flash.reads.get(),
-            erases: flash.erases.get(),
+            flash_reads: flash.reads,
+            erases: flash.erases,
             revived_writes: self.stats.revived_writes,
             deduped_writes: self.stats.deduped_writes,
             gc_collections: self.stats.gc_collections,
             trims: self.stats.trims,
             read_mismatches: self.stats.read_mismatches,
-            program_failures: flash.program_failures.get(),
-            erase_failures: flash.erase_failures.get(),
-            read_retries: flash.read_retries.get(),
-            retired_blocks: flash.retired_blocks.get(),
+            program_failures: flash.program_failures,
+            erase_failures: flash.erase_failures,
+            read_retries: flash.read_retries,
+            retired_blocks: flash.retired_blocks,
             scrub_programs: self.stats.scrub_programs,
             pool: self.pool.stats(),
             dedup: self.dedup.as_ref().map(|d| d.stats()),
@@ -1117,7 +1117,7 @@ mod tests {
         );
         // Warm-up left no residue in the counters.
         assert_eq!(s.stats().host_writes, 0);
-        assert_eq!(s.flash().stats().programs.get(), 0);
+        assert_eq!(s.flash().stats().programs, 0);
     }
 
     #[test]
@@ -1254,7 +1254,7 @@ mod tests {
         for i in 0..600u64 {
             w(&mut s, 3 + (i % 5), 1000 + i);
         }
-        let report_erases = s.flash().stats().erases.get();
+        let report_erases = s.flash().stats().erases;
         assert!(report_erases > 0, "GC must have run");
         for lpn in 0..3u64 {
             let (v, _) = s.read(Lpn::new(lpn), SimTime::ZERO).expect("read");
@@ -1273,7 +1273,7 @@ mod tests {
         for i in 0..600u64 {
             w(&mut s, 2 + (i % 6), 1000 + i);
         }
-        assert!(s.flash().stats().erases.get() > 0);
+        assert!(s.flash().stats().erases > 0);
         let (v, _) = s.read(Lpn::new(1), SimTime::ZERO).expect("read");
         assert_eq!(v, ValueId::new(7), "revived content survives GC moves");
     }
@@ -1349,7 +1349,7 @@ mod tests {
             shadow.insert(lpn, value);
         }
         let flash = s.flash().stats();
-        assert!(flash.program_failures.get() > 0, "faults must have fired");
+        assert!(flash.program_failures > 0, "faults must have fired");
         assert!(s.flash().total_bad_pages() > 0);
         // Every host write still landed somewhere despite the retries.
         assert_eq!(s.stats().host_programs, 400);
@@ -1376,17 +1376,14 @@ mod tests {
             s.write(Lpn::new(lpn), ValueId::new(value), SimTime::ZERO)
                 .unwrap_or_else(|e| panic!("write {i} failed: {e}"));
             shadow.insert(lpn, value);
-            if s.flash().stats().retired_blocks.get() >= 1 {
+            if s.flash().stats().retired_blocks >= 1 {
                 break;
             }
         }
         let flash = s.flash().stats();
-        assert!(flash.retired_blocks.get() >= 1, "a block must have retired");
-        assert!(
-            flash.erase_failures.get() >= 2,
-            "retirement takes two failures"
-        );
-        assert_eq!(flash.erases.get(), 0, "every erase attempt failed");
+        assert!(flash.retired_blocks >= 1, "a block must have retired");
+        assert!(flash.erase_failures >= 2, "retirement takes two failures");
+        assert_eq!(flash.erases, 0, "every erase attempt failed");
         s.check_invariants()
             .unwrap_or_else(|e| panic!("invariants violated: {e}"));
         for (&lpn, &value) in &shadow {
@@ -1406,7 +1403,7 @@ mod tests {
         w(&mut s, 0, 7);
         let (v, done) = s.read(Lpn::new(0), SimTime::ZERO).expect("read");
         assert_eq!(v, ValueId::new(7));
-        assert_eq!(s.flash().stats().read_retries.get(), 1);
+        assert_eq!(s.flash().stats().read_retries, 1);
         assert_eq!(s.stats().scrub_programs, 1, "suspect page relocated");
         s.check_invariants().expect("consistent after scrubbing");
         // The content survives at its new address (where this read —

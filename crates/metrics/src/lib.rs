@@ -5,7 +5,8 @@
 //! percentile) latency, plus the CDF/share curves of the
 //! characterization section. This crate provides those primitives:
 //!
-//! * [`Counter`] — a monotone event counter,
+//! * [`reduction_pct`] — the % reduction against a baseline that every
+//!   evaluation figure plots,
 //! * [`LatencyRecorder`] — exact mean/percentile statistics over
 //!   recorded request latencies,
 //! * [`Histogram`] — fixed-width bucketing for distribution displays,
@@ -17,9 +18,8 @@
 //! On top of those sits the run-wide observability layer (DESIGN.md
 //! §13):
 //!
-//! * [`Event`] / [`EventSink`] / [`EventLog`] — typed, timestamped,
-//!   zero-cost-when-disabled event tracing through the simulator's hot
-//!   paths,
+//! * [`Event`] / [`EventLog`] — typed, timestamped, zero-cost-when-
+//!   disabled event tracing through the simulator's hot paths,
 //! * [`CounterRegistry`] / [`PhaseTimers`] — deterministic name → value
 //!   counter maps and per-phase simulated-time accumulators,
 //! * [`Json`] plus the `*_to_json` / `*_to_csv` exporters — dependency
@@ -44,24 +44,24 @@
 #![warn(missing_docs)]
 
 mod cdf;
-mod counter;
 mod events;
 mod export;
 mod histogram;
 mod latency;
+mod reduction;
 mod registry;
 mod share;
 mod timeline;
 
 pub use cdf::Cdf;
-pub use counter::{reduction_pct, Counter};
-pub use events::{Event, EventLog, EventSink, FaultEvent, NullSink, TracedEvent};
+pub use events::{Event, EventLog, FaultEvent, TracedEvent};
 pub use export::{
     events_to_csv, events_to_json, windows_from_json, windows_to_csv, windows_to_json, Json,
     JsonParseError,
 };
 pub use histogram::Histogram;
 pub use latency::{LatencyRecorder, LatencySummary};
+pub use reduction::reduction_pct;
 pub use registry::{CounterRegistry, PhaseTimers, PhaseTotal};
 pub use share::{ShareCurve, SharePoint};
 pub use timeline::{Timeline, WindowStat};

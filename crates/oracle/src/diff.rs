@@ -17,7 +17,7 @@
 //!    oracle's.
 //!
 //! [`fuzz_seed`] wraps the whole per-seed pipeline: generate a trace,
-//! run it through [`standard_grid`] (DVP on/off × dedup on/off × fault
+//! run it through [`standard_grid`] (every shipped system × fault
 //! rates × arrival processes), and on any failure shrink the trace to
 //! a minimal reproduction. Everything is a pure function of the seed,
 //! so seeds fan out across threads with bit-identical results.
@@ -88,15 +88,27 @@ pub struct DiffCell {
     pub config: SsdConfig,
 }
 
-/// The standard grid for one fuzz seed: {Baseline, DVP, Dedup,
+/// The standard grid for one fuzz seed: every shipped system
+/// {Baseline, DVP, LRU-DVP, Ideal, LX-SSD, adaptive DVP, Dedup,
 /// DVP+Dedup} × {clean, moderate faults} × {constant, poisson, bursty}
-/// arrivals — 24 cells. Arrival and fault seeds are derived from the
+/// arrivals — 48 cells. Arrival and fault seeds are derived from the
 /// fuzz seed, so the whole grid is a pure function of `seed`.
 pub fn standard_grid(seed: u64) -> Vec<DiffCell> {
     let systems = [
         SystemKind::Baseline,
         SystemKind::MqDvp {
             entries: FUZZ_POOL_ENTRIES,
+        },
+        SystemKind::LruDvp {
+            entries: FUZZ_POOL_ENTRIES,
+        },
+        SystemKind::Ideal,
+        SystemKind::LxSsd {
+            entries: FUZZ_POOL_ENTRIES,
+        },
+        SystemKind::AdaptiveDvp {
+            min_entries: 16,
+            max_entries: FUZZ_POOL_ENTRIES,
         },
         SystemKind::Dedup,
         SystemKind::DvpPlusDedup {
@@ -442,9 +454,10 @@ mod tests {
     #[test]
     fn grid_has_the_advertised_shape() {
         let grid = standard_grid(9);
-        assert_eq!(grid.len(), 24);
+        assert_eq!(grid.len(), 48);
         let labels: Vec<&str> = grid.iter().map(|c| c.label.as_str()).collect();
         assert!(labels.contains(&"Baseline/clean/constant"));
+        assert!(labels.contains(&"ADVP-16..64/faulty/poisson"));
         assert!(labels.contains(&"DVP+Dedup-64/faulty/bursty"));
         for cell in &grid {
             cell.config.validate().expect("every cell validates");
@@ -458,6 +471,13 @@ mod tests {
         for system in [
             SystemKind::Baseline,
             SystemKind::MqDvp { entries: 64 },
+            SystemKind::LruDvp { entries: 64 },
+            SystemKind::Ideal,
+            SystemKind::LxSsd { entries: 64 },
+            SystemKind::AdaptiveDvp {
+                min_entries: 16,
+                max_entries: 64,
+            },
             SystemKind::Dedup,
             SystemKind::DvpPlusDedup { entries: 64 },
         ] {
@@ -535,7 +555,7 @@ mod tests {
         let b = fuzz_seed(3, 400, 8);
         assert_eq!(a, b);
         assert!(a.ok(), "seed 3 must be clean: {:?}", a.failures);
-        assert_eq!(a.cells.len(), 24);
+        assert_eq!(a.cells.len(), 48);
     }
 
     // The shrinker self-test: arm the off-by-one specification bug

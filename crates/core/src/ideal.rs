@@ -7,13 +7,13 @@
 
 use zssd_types::FxHashMap;
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
+use zssd_types::{Fingerprint, InlineList, Lpn, PopularityDegree, Ppn, WriteClock};
 
 use crate::pool::{DeadValuePool, PoolStats};
 
 #[derive(Debug, Clone)]
 struct Entry {
-    ppns: Vec<Ppn>,
+    ppns: InlineList<Ppn>,
     pop: PopularityDegree,
 }
 
@@ -75,7 +75,7 @@ impl DeadValuePool for IdealPool {
         }
         self.stats.insertions += 1;
         let entry = self.by_fp.entry(fp).or_insert_with(|| Entry {
-            ppns: Vec::new(),
+            ppns: InlineList::new(),
             pop,
         });
         entry.ppns.push(ppn);
@@ -91,12 +91,8 @@ impl DeadValuePool for IdealPool {
         };
         self.stats.gc_removals += 1;
         let entry = self.by_fp.get_mut(&fp).expect("indexes consistent");
-        let pos = entry
-            .ppns
-            .iter()
-            .position(|&p| p == ppn)
-            .expect("ppn tracked by its entry");
-        entry.ppns.swap_remove(pos);
+        let tracked = entry.ppns.swap_remove_item(&ppn);
+        assert!(tracked, "ppn tracked by its entry");
         if entry.ppns.is_empty() {
             self.by_fp.remove(&fp);
         }

@@ -7,7 +7,7 @@
 
 use zssd_types::FxHashMap;
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
+use zssd_types::{Fingerprint, InlineList, Lpn, PopularityDegree, Ppn, WriteClock};
 
 use crate::intrusive::{ListHandle, Slab, SlotId};
 use crate::pool::{DeadValuePool, PoolStats};
@@ -15,7 +15,7 @@ use crate::pool::{DeadValuePool, PoolStats};
 #[derive(Debug, Clone)]
 struct Entry {
     fp: Fingerprint,
-    ppns: Vec<Ppn>,
+    ppns: InlineList<Ppn>,
     pop: PopularityDegree,
 }
 
@@ -135,7 +135,7 @@ impl DeadValuePool for LruDeadValuePool {
         } else {
             let id = self.slab.insert(Entry {
                 fp,
-                ppns: vec![ppn],
+                ppns: InlineList::one(ppn),
                 pop,
             });
             self.lru.push_tail(&mut self.slab, id);
@@ -154,12 +154,8 @@ impl DeadValuePool for LruDeadValuePool {
         self.stats.gc_removals += 1;
         let emptied = {
             let entry = self.slab.get_mut(id);
-            let pos = entry
-                .ppns
-                .iter()
-                .position(|&p| p == ppn)
-                .expect("ppn index consistent with entry");
-            entry.ppns.swap_remove(pos);
+            let tracked = entry.ppns.swap_remove_item(&ppn);
+            assert!(tracked, "ppn index consistent with entry");
             entry.ppns.is_empty()
         };
         if emptied {

@@ -2,7 +2,7 @@
 
 use zssd_types::FxHashMap;
 
-use zssd_types::{Fingerprint, Lpn, PopularityDegree, Ppn, WriteClock};
+use zssd_types::{Fingerprint, InlineList, Lpn, PopularityDegree, Ppn, WriteClock};
 
 use crate::intrusive::{ListHandle, Slab, SlotId};
 use crate::pool::{DeadValuePool, PoolStats};
@@ -57,8 +57,9 @@ impl Default for MqConfig {
 struct Entry {
     fp: Fingerprint,
     /// Garbage pages currently holding this value, most recent death
-    /// last. A hit surrenders the most recently dead copy.
-    ppns: Vec<Ppn>,
+    /// last. A hit surrenders the most recently dead copy. A single
+    /// copy (the common case) is stored inline.
+    ppns: InlineList<Ppn>,
     pop: PopularityDegree,
     expire: WriteClock,
     last_access: WriteClock,
@@ -311,7 +312,7 @@ impl DeadValuePool for MqDeadValuePool {
         } else {
             let entry = Entry {
                 fp,
-                ppns: vec![ppn],
+                ppns: InlineList::one(ppn),
                 pop,
                 expire: now.plus(self.hottest_interval),
                 last_access: now,
@@ -335,12 +336,8 @@ impl DeadValuePool for MqDeadValuePool {
         self.stats.gc_removals += 1;
         let emptied = {
             let entry = self.slab.get_mut(id);
-            let pos = entry
-                .ppns
-                .iter()
-                .position(|&p| p == ppn)
-                .expect("ppn index consistent with entry");
-            entry.ppns.swap_remove(pos);
+            let tracked = entry.ppns.swap_remove_item(&ppn);
+            assert!(tracked, "ppn index consistent with entry");
             entry.ppns.is_empty()
         };
         if emptied {

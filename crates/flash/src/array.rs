@@ -313,6 +313,17 @@ impl FlashArray {
         Ok(self.blocks[block.index() as usize].info())
     }
 
+    /// The state of every page of a block, in program order — the
+    /// page at offset `i` is the block's `i`-th PPN.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the block is outside the device.
+    pub fn page_states(&self, block: BlockId) -> Result<&[PageState], AddressError> {
+        self.check_block(block)?;
+        Ok(&self.blocks[block.index() as usize].pages)
+    }
+
     /// Wear (erase count) of a block.
     ///
     /// # Errors
@@ -888,6 +899,31 @@ mod tests {
         assert_eq!(flash.page_state(ppn).expect("state"), PageState::Valid);
         assert_eq!(flash.stats().revivals, 1);
         assert_eq!(flash.total_valid_pages(), 1);
+    }
+
+    #[test]
+    fn page_states_agree_with_page_state() {
+        let mut flash = tiny();
+        let geom = *flash.geometry();
+        let block = BlockId::new(1);
+        flash.program_next(block, SimTime::ZERO).expect("program");
+        flash.program_next(block, SimTime::ZERO).expect("program");
+        flash
+            .invalidate_page(geom.first_ppn_of(block))
+            .expect("invalidate");
+        let states = flash.page_states(block).expect("in range");
+        let expected: Vec<PageState> = geom
+            .pages_of(block)
+            .map(|ppn| flash.page_state(ppn).expect("state"))
+            .collect();
+        assert_eq!(states, expected.as_slice());
+        assert_eq!(
+            &states[..3],
+            &[PageState::Invalid, PageState::Valid, PageState::Free]
+        );
+        assert!(flash
+            .page_states(BlockId::new(geom.total_blocks()))
+            .is_err());
     }
 
     #[test]

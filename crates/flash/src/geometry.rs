@@ -226,17 +226,21 @@ impl Geometry {
         Ppn::new(idx)
     }
 
+    fn assert_in_device(&self, ppn: Ppn) {
+        assert!(
+            ppn.index() < self.total_pages(),
+            "ppn {ppn} outside device of {} pages",
+            self.total_pages()
+        );
+    }
+
     /// Decodes a flat [`Ppn`] into its components.
     ///
     /// # Panics
     ///
     /// Panics if the PPN is outside the device.
     pub fn decode(&self, ppn: Ppn) -> PageAddress {
-        assert!(
-            ppn.index() < self.total_pages(),
-            "ppn {ppn} outside device of {} pages",
-            self.total_pages()
-        );
+        self.assert_in_device(ppn);
         let mut idx = ppn.index();
         let page = (idx % u64::from(self.pages_per_block)) as u32;
         idx /= u64::from(self.pages_per_block);
@@ -274,16 +278,38 @@ impl Geometry {
         (ppn.index() % u64::from(self.pages_per_block)) as u32
     }
 
-    /// Flat chip index (channel-major) that owns `ppn` — the unit of
-    /// busy-time serialization for program/erase.
-    pub fn chip_of(&self, ppn: Ppn) -> u64 {
-        let addr = self.decode(ppn);
-        u64::from(addr.channel) * u64::from(self.chips_per_channel) + u64::from(addr.chip)
+    /// Pages in one chip: the stride of the chip index in the flat
+    /// PPN layout.
+    const fn pages_per_chip(&self) -> u64 {
+        self.dies_per_chip as u64
+            * self.planes_per_die as u64
+            * self.blocks_per_plane as u64
+            * self.pages_per_block as u64
     }
 
-    /// Channel index that owns `ppn`.
+    /// Flat chip index (channel-major) that owns `ppn` — the unit of
+    /// busy-time serialization for program/erase. The PPN layout
+    /// nests everything below the chip inside it, so this is one
+    /// division; it equals `channel · chips_per_channel + chip` of
+    /// [`decode`](Geometry::decode).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PPN is outside the device.
+    pub fn chip_of(&self, ppn: Ppn) -> u64 {
+        self.assert_in_device(ppn);
+        ppn.index() / self.pages_per_chip()
+    }
+
+    /// Channel index that owns `ppn` (one division, like
+    /// [`chip_of`](Geometry::chip_of)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the PPN is outside the device.
     pub fn channel_of(&self, ppn: Ppn) -> u32 {
-        self.decode(ppn).channel
+        self.assert_in_device(ppn);
+        (ppn.index() / (self.pages_per_chip() * u64::from(self.chips_per_channel))) as u32
     }
 
     /// Flat plane index that owns `block` — the unit of block
@@ -358,6 +384,33 @@ mod tests {
         let ppn = g.ppn_at(1, 0, 1, 1, 0, 0);
         assert_eq!(g.channel_of(ppn), 1);
         assert_eq!(g.chip_of(ppn), 2); // channel 1 * 2 chips + chip 0
+    }
+
+    #[test]
+    fn chip_and_channel_of_match_decode_on_every_page() {
+        // Dimensions that are not powers of two, so a shift or mask
+        // standing in for the division would show.
+        for (ch, chips, dies, planes, blocks, pages) in [
+            (3, 5, 1, 2, 7, 6),
+            (5, 3, 3, 1, 3, 5),
+            (1, 7, 2, 3, 5, 3),
+            (6, 1, 5, 3, 2, 9),
+        ] {
+            let g = Geometry::new(ch, chips, dies, planes, blocks, pages).expect("valid geometry");
+            for ppn in (0..g.total_pages()).map(Ppn::new) {
+                let addr = g.decode(ppn);
+                let chip = u64::from(addr.channel) * u64::from(chips) + u64::from(addr.chip);
+                assert_eq!(g.chip_of(ppn), chip, "{g:?} {ppn}");
+                assert_eq!(g.channel_of(ppn), addr.channel, "{g:?} {ppn}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside device")]
+    fn chip_of_out_of_range_panics() {
+        let g = small();
+        let _ = g.chip_of(Ppn::new(g.total_pages()));
     }
 
     #[test]

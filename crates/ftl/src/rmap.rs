@@ -15,21 +15,28 @@
 //!   property tests replay the same trace against both representations
 //!   and assert identical [`RunReport`]s.
 //!
+//! A record's owner list is an [`InlineList`]: a page almost always
+//! has exactly one owner, which is stored in the record itself, so
+//! programs, kills and GC relocations touch no heap. Only a page that
+//! dedup shares among several logical pages moves its owners to a
+//! `Vec`.
+//!
 //! [`SsdConfig::with_sparse_rmap`]: crate::SsdConfig::with_sparse_rmap
 //! [`RunReport`]: crate::RunReport
 
 use std::collections::HashMap;
 
-use zssd_types::{Fingerprint, Lpn, Ppn, ValueId};
+use zssd_types::{Fingerprint, InlineList, Lpn, Ppn, ValueId};
 
 /// What the controller knows about the data in one physical page:
 /// its content identity and the logical pages referencing it (empty
-/// for garbage pages — kept so revival and GC know the content).
+/// for garbage pages — kept so revival and GC know the content). The
+/// owners are stored inline unless dedup shares the page.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct PhysPage {
     pub(crate) fp: Fingerprint,
     pub(crate) value: ValueId,
-    pub(crate) owners: Vec<Lpn>,
+    pub(crate) owners: InlineList<Lpn>,
 }
 
 /// Reverse mapping from physical page numbers to their records.

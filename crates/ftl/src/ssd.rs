@@ -8,7 +8,7 @@ use zssd_dedup::DedupStore;
 use zssd_flash::{FlashArray, FlashOpError, PageState};
 use zssd_metrics::{Event, EventLog};
 use zssd_trace::{initial_value_of, IoOp, TraceRecord};
-use zssd_types::{Fingerprint, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
+use zssd_types::{Fingerprint, InlineList, Lpn, Ppn, SimDuration, SimTime, ValueId, WriteClock};
 
 use crate::config::SsdConfig;
 use crate::error::SsdError;
@@ -173,7 +173,7 @@ impl Ssd {
                 PhysPage {
                     fp,
                     value,
-                    owners: vec![lpn],
+                    owners: InlineList::one(lpn),
                 },
             );
             self.mapping.update(lpn, ppn)?;
@@ -307,7 +307,7 @@ impl Ssd {
             PhysPage {
                 fp,
                 value,
-                owners: vec![lpn],
+                owners: InlineList::one(lpn),
             },
         );
         self.mapping.update(lpn, ppn)?;
@@ -823,7 +823,7 @@ impl Ssd {
             );
         }
         let mut t = now;
-        for ppn in geometry.pages_of(victim).collect::<Vec<_>>() {
+        for ppn in geometry.pages_of(victim) {
             match self.flash.page_state(ppn)? {
                 PageState::Valid => {
                     // In-plane relocation uses the copyback advanced

@@ -160,6 +160,7 @@ const FIGURES: [Figure; 6] = [
         title: "Figure 15: % mean latency improvement vs Baseline",
         columns: &[("DVP", DVP), ("Dedup", Dedup), ("DVP+Dedup", DVP_DEDUP)],
         metric: MEAN_LATENCY,
+        arrivals_banner: true,
         footnote: &[
             "paper: dedup improves latency by up to 58.5%; stacking the DVP adds",
             "       another ~9.8% on average (up to 15%)",
@@ -291,8 +292,7 @@ pub fn run_figure(name: &str) -> Result<(), SsdError> {
         .unwrap_or_else(|| panic!("no figure named {name}"));
     println!("{}", figure.title);
     if figure.arrivals_banner {
-        let spec = arrival_spec();
-        println!("arrivals: {spec} (set ZSSD_ARRIVAL to poisson or bursty)");
+        print_arrivals_banner();
     }
     println!();
     let profiles = experiment_profiles();
@@ -323,10 +323,13 @@ pub fn run_matrix(timing: bool) -> Result<(), Box<dyn std::error::Error>> {
     let systems = MATRIX[0].systems();
     let profiles = experiment_profiles();
     println!(
-        "Full evaluation matrix ({} systems x {} workloads)\n",
+        "Full evaluation matrix ({} systems x {} workloads)",
         systems.len(),
         profiles.len(),
     );
+    // Its latency sections depend on the arrival process.
+    print_arrivals_banner();
+    println!();
     eprintln!("grid workers: {} threads", grid_threads());
     let cells = grid_for(&profiles, &systems);
     let reports = if timing {
@@ -342,6 +345,13 @@ pub fn run_matrix(timing: bool) -> Result<(), Box<dyn std::error::Error>> {
     println!("\npaper headlines: 29% writes / 35.5% erases / 24.5% mean / 22% tail (DVP-200K);");
     println!("DVP ~2x LX-SSD on mean latency; DVP+Dedup adds ~11% writes over Dedup alone");
     Ok(())
+}
+
+/// The `arrivals:` line under the title of every output whose
+/// latencies depend on `ZSSD_ARRIVAL`.
+fn print_arrivals_banner() {
+    let spec = arrival_spec();
+    println!("arrivals: {spec} (set ZSSD_ARRIVAL to poisson or bursty)");
 }
 
 /// Runs `cells` serially, then on [`grid_threads`] workers, writes the
